@@ -22,6 +22,7 @@ from repro.signals.waveforms import probe_chirp, white_noise
 from repro.simulation.session import MeasurementSession
 from repro.signals.channel import ProbeChannelBank
 from repro.core.aoa import KnownSourceAoAEstimator, UnknownSourceAoAEstimator
+from repro.core.fusion import DiffractionAwareSensorFusion
 from repro.core.localize import DelayMap, cached_delay_map, clear_delay_map_cache
 from repro.core.pipeline import Uniq, UniqConfig
 
@@ -62,6 +63,15 @@ def test_perf_delay_map_build(benchmark, head):
         DelayMap, small_head, (0.16, 1.2, 24), (-40.0, 220.0, 88)
     )
     assert result.t_left.shape == (24, 88)
+
+
+def test_perf_final_delay_map_build(benchmark, head):
+    """The final full-resolution DelayMap: the largest build per job."""
+    fusion = DiffractionAwareSensorFusion()
+    result = benchmark(
+        DelayMap, head, fusion.final_map_radii, fusion.final_map_thetas
+    )
+    assert result.t_left.shape == (48, 261)
 
 
 def test_perf_delay_map_invert(benchmark, head):
