@@ -20,10 +20,9 @@ already in the serial service number).
 Also verifies on every run that the 4-worker batch is bit-identical to the
 serial run, that turning the telemetry flight recorder on costs under 5% of
 throughput (and changes no deterministic result), that a batch survives
-one injected worker crash, and — the PR 7 cold-start phase — that a fresh
-worker forked cold serves its first job from a pre-baked DelayMap artifact
-store within 2x the warm single-process personalize time, bit-identically
-to the empty-store run (record it with ``--pr7-output BENCH_PR7.json``).
+one injected worker crash, and — the cold-start phase — that a fresh
+interpreter personalizes a fresh subject within 1.5x (+0.25 s) of the same
+work in this warm process, with bit-identical tables on both sides.
 
 The PR 8 fleet phase pushes a synthetic evaluation population through the
 same serve layer and records subjects/second — the number that sizes the
@@ -39,7 +38,7 @@ method/rung it settled on (record it with ``--pr10-output
 BENCH_PR10.json``).
 
     PYTHONPATH=src python benchmarks/bench_serve.py --output BENCH_PR3.json \
-        --pr7-output BENCH_PR7.json --pr8-output BENCH_PR8.json
+        --pr8-output BENCH_PR8.json
     PYTHONPATH=src python benchmarks/bench_serve.py --quick   # CI smoke
 """
 
@@ -64,10 +63,11 @@ SPEC = {"probe_interval_s": 0.6, "angle_step_deg": 15.0}
 _PER_PROCESS_SNIPPET = """
 import time
 from repro.core.pipeline import personalize_capture
+from repro.hrtf.io import table_digest
 started = time.perf_counter()
-personalize_capture(subject_seed={seed}, probe_interval_s={probe}, \
+_, result = personalize_capture(subject_seed={seed}, probe_interval_s={probe}, \
 angle_step_deg={step})
-print(time.perf_counter() - started)
+print(time.perf_counter() - started, table_digest(result.table))
 """
 
 
@@ -96,7 +96,12 @@ def run_service(jobs: list[Job], workers: int) -> dict:
 
 
 def run_per_process(jobs: list[Job], samples: int) -> dict:
-    """Time a few real fresh-interpreter runs; extrapolate to the batch."""
+    """Time a few real fresh-interpreter runs; extrapolate to the batch.
+
+    Each sample also reports its in-interpreter personalize time (after
+    imports) and table digest, which the cold-start gate compares against
+    the same seeds run in this process.
+    """
     distinct = []
     seen = set()
     for job in jobs:
@@ -105,6 +110,8 @@ def run_per_process(jobs: list[Job], samples: int) -> dict:
             distinct.append(job)
     sampled = distinct[: max(1, samples)]
     walls = []
+    compute = []
+    digests = []
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -115,15 +122,21 @@ def run_per_process(jobs: list[Job], samples: int) -> dict:
             step=job.angle_step_deg,
         )
         started = time.perf_counter()
-        subprocess.run(
+        done = subprocess.run(
             [sys.executable, "-c", snippet], env=env, check=True,
-            stdout=subprocess.DEVNULL,
+            stdout=subprocess.PIPE, text=True,
         )
         walls.append(time.perf_counter() - started)
+        seconds, digest = done.stdout.split()[-2:]
+        compute.append(float(seconds))
+        digests.append(digest)
     mean_wall = sum(walls) / len(walls)
     return {
         "n_sampled": len(walls),
+        "sample_seeds": [job.subject_seed for job in sampled],
         "sample_walls_s": walls,
+        "sample_compute_s": compute,
+        "sample_digests": digests,
         "mean_job_wall_s": mean_wall,
         # Every job pays the full price: no shared process, no warm cache,
         # no coalescing.
@@ -187,99 +200,64 @@ def run_telemetry_phase(
 
 
 def run_cold_start_phase(
-    jobs: list[Job],
-    bound_factor: float = 2.0,
+    per_process: dict,
+    bound_factor: float = 1.5,
     bound_grace_s: float = 0.25,
 ) -> dict:
-    """Fresh-server cold starts: empty map store vs pre-baked (BENCH_PR7).
+    """Cold-process tax on fresh subjects, gated.
 
-    The question this answers: how long does a job take on a stone-cold
-    worker process?  Both sides fork fresh single-worker servers from a
-    parent whose in-memory DelayMap cache has been cleared, so the only
-    difference is the artifact store's content — empty on the first run
-    (whose build-on-miss persistence is exactly what pre-bakes the store),
-    fully baked on the second.  Enforced here, not just recorded:
+    The cold side is :func:`run_per_process`'s samples: each seed
+    personalized in a fresh interpreter, timed after imports.  The warm
+    side personalizes the same seeds in this process, after one untimed
+    priming run, each from an empty DelayMap cache — a fresh subject
+    reuses no map, so the cache would only flatter this side.  Enforced
+    here, not just recorded:
 
-    - both phases produce identical deterministic results (store-loaded
-      tables are bit-identical to freshly built ones);
-    - the pre-baked run p50 lands within ``bound_factor`` x the warm
-      single-process personalize time (plus a small absolute grace for
-      scheduler noise) — the PR 7 acceptance bound.
+    - every seed's table digest is equal on both sides;
+    - cold p50 <= ``bound_factor`` x warm p50 + ``bound_grace_s``.
     """
     from repro.core.localize import clear_delay_map_cache
     from repro.core.pipeline import personalize_capture
+    from repro.hrtf.io import table_digest
 
-    distinct: list[Job] = []
-    seen: set = set()
-    for job in jobs:
-        if job.subject_seed not in seen:
-            seen.add(job.subject_seed)
-            distinct.append(
-                Job(job_id=f"cold-{job.subject_seed:03d}",
-                    subject_seed=job.subject_seed, **SPEC)
-            )
-    # Warm single-process reference: the same unit of work with every
-    # process-wide cache hot (first run warms, best of the rest counts).
-    walls = []
-    for _ in range(3):
-        started = time.perf_counter()
-        personalize_capture(subject_seed=distinct[0].subject_seed, **SPEC)
-        walls.append(time.perf_counter() - started)
-    warm_single = min(walls[1:])
-
-    phases: dict[str, dict] = {}
-    results: dict[str, list] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = os.path.join(tmp, "maps")
-        for label in ("empty_store", "prebaked_store"):
-            clear_delay_map_cache()  # workers must fork cold in memory
-            with BatchServer(workers=1, map_store=store) as server:
-                report = server.run_batch(distinct)
-            if report.n_ok != len(distinct):
-                raise RuntimeError(f"{label} phase failed: {report.counts}")
-            latency = report.latency_summary()
-            stats = [
-                (r.payload or {}).get("_stats") or {} for r in report.results
-            ]
-            phases[label] = {
-                "n_jobs": len(distinct),
-                "wall_s": report.wall_s,
-                "run_p50_s": latency["run_p50_s"],
-                "run_p95_s": latency["run_p95_s"],
-                "map_store_hits": sum(s.get("map_store_hits", 0) for s in stats),
-                "map_store_misses": sum(
-                    s.get("map_store_misses", 0) for s in stats
-                ),
-            }
-            results[label] = [r.deterministic() for r in report.results]
-        from repro.core.mapstore import MapStore
-
-        baked = MapStore(store)
-        store_stats = {"artifacts": len(baked), "bytes": baked.size_bytes()}
-    identical = results["empty_store"] == results["prebaked_store"]
-    if not identical:
-        raise RuntimeError(
-            "store-loaded tables changed the deterministic results"
+    seeds = per_process["sample_seeds"]
+    if len(seeds) < 2:
+        raise ValueError(
+            f"cold-start gate needs >= 2 distinct seeds, got {len(seeds)}"
         )
-    bound_s = bound_factor * warm_single + bound_grace_s
-    warmed_p50 = phases["prebaked_store"]["run_p50_s"]
-    if warmed_p50 > bound_s:
+    personalize_capture(subject_seed=seeds[0], **SPEC)
+    warm = []
+    digests = []
+    for seed in seeds:
+        clear_delay_map_cache()
+        started = time.perf_counter()
+        _, result = personalize_capture(subject_seed=seed, **SPEC)
+        warm.append(time.perf_counter() - started)
+        digests.append(table_digest(result.table))
+    if digests != per_process["sample_digests"]:
         raise RuntimeError(
-            f"pre-baked cold-start p50 {warmed_p50:.2f} s exceeds the bound "
-            f"{bound_s:.2f} s ({bound_factor:g} x warm single-process "
-            f"{warm_single:.2f} s + {bound_grace_s:g} s grace)"
+            "fresh-interpreter tables differ from this process's tables"
+        )
+    cold_p50 = statistics.median(per_process["sample_compute_s"])
+    warm_p50 = statistics.median(warm)
+    bound_s = bound_factor * warm_p50 + bound_grace_s
+    if cold_p50 > bound_s:
+        raise RuntimeError(
+            f"cold-process p50 {cold_p50:.2f} s exceeds the bound "
+            f"{bound_s:.2f} s ({bound_factor:g} x warm p50 "
+            f"{warm_p50:.2f} s + {bound_grace_s:g} s grace)"
         )
     return {
-        "warm_single_process_s": warm_single,
-        "empty_store": phases["empty_store"],
-        "prebaked_store": phases["prebaked_store"],
-        "deterministic_empty_vs_prebaked": identical,
-        "store": store_stats,
+        "seeds": seeds,
+        "cold_s": per_process["sample_compute_s"],
+        "warm_s": warm,
+        "cold_p50_s": cold_p50,
+        "warm_p50_s": warm_p50,
+        "digests_equal": True,
         "bound": {
             "factor": bound_factor,
             "grace_s": bound_grace_s,
             "bound_s": bound_s,
-            "warmed_p50_s": warmed_p50,
             "within_bound": True,
         },
     }
@@ -445,12 +423,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="distinct subject seeds among the jobs")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--samples", type=int, default=3,
-                        help="fresh-interpreter runs for the per-process baseline")
+                        help="fresh-interpreter runs for the per-process baseline "
+                        "and the cold-start gate (at least 2)")
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke: 8 jobs, 2 specs, 1 baseline sample")
-    parser.add_argument("--pr7-output", default=None, metavar="PATH",
-                        help="write the cold-start phase record "
-                        "(BENCH_PR7.json) here")
+                        help="CI smoke: 8 jobs, 2 specs, 2 baseline samples")
     parser.add_argument("--pr8-output", default=None, metavar="PATH",
                         help="write the fleet-throughput phase record "
                         "(BENCH_PR8.json) here")
@@ -461,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="population size for the fleet phase")
     args = parser.parse_args(argv)
     if args.quick:
-        args.jobs, args.specs, args.samples = 8, 2, 1
+        args.jobs, args.specs, args.samples = 8, 2, 2
         args.fleet_subjects = min(args.fleet_subjects, 500)
 
     jobs = make_jobs(args.jobs, args.specs)
@@ -499,14 +475,11 @@ def main(argv: list[str] | None = None) -> int:
     crash = run_crash_phase(args.workers)
     print(f"                 recovered in {crash['victim_attempts']} attempts")
 
-    print("cold start     : fresh workers, empty vs pre-baked map store ...")
-    cold = run_cold_start_phase(jobs)
-    print(f"                 empty store p50 "
-          f"{cold['empty_store']['run_p50_s']:.2f} s -> pre-baked p50 "
-          f"{cold['prebaked_store']['run_p50_s']:.2f} s "
-          f"(warm single-process {cold['warm_single_process_s']:.2f} s, "
-          f"bound {cold['bound']['bound_s']:.2f} s, "
-          f"{cold['store']['artifacts']} artifacts)")
+    print("cold start     : fresh interpreters vs this process, same seeds ...")
+    cold = run_cold_start_phase(per_process)
+    print(f"                 cold p50 {cold['cold_p50_s']:.2f} s, warm p50 "
+          f"{cold['warm_p50_s']:.2f} s "
+          f"(bound {cold['bound']['bound_s']:.2f} s, digests equal)")
 
     print("adverse phase  : rung-0 overhead + adverse batch ...")
     adverse = run_adverse_phase(args.workers)
@@ -556,22 +529,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"record         : {args.output}")
-    if args.pr7_output:
-        from repro.ioutil import atomic_write
-
-        pr7_record = {
-            "benchmark": "serve_cold_start",
-            "repro_version": __version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "spec": SPEC,
-            "quick": args.quick,
-            **cold,
-        }
-        with atomic_write(args.pr7_output, "w") as handle:
-            json.dump(pr7_record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"record         : {args.pr7_output}")
     if args.pr8_output:
         from repro.ioutil import atomic_write
 

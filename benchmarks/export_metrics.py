@@ -49,7 +49,7 @@ def run_benchmark(
     grid = tuple(np.arange(0.0, 180.0 + 1e-9, angle_step_deg))
 
     obs.registry().reset()
-    # Start from an empty DelayMap store so the first iteration measures a
+    # Start from an empty DelayMap cache so the first iteration measures a
     # genuine cold run; later iterations measure the cached steady state.
     clear_delay_map_cache()
     best_stages: dict[str, float] = {}

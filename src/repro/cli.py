@@ -14,10 +14,6 @@ one-shot command.
 ``batch --telemetry`` output) as a per-worker Gantt chart with a
 critical-path summary and the batch's SLO statistics.
 
-``python -m repro.cli warmup`` pre-bakes DelayMap artifacts into a
-:mod:`repro.core.mapstore` directory so serve workers start warm (see
-``docs/PERFORMANCE.md``, "Cold start & the map store").
-
 ``python -m repro.cli fleet`` runs the fleet-evaluation tier
 (:mod:`repro.eval.fleet`): ``run`` pushes a deterministic synthetic
 population through the batch server and writes a FleetReport, ``compare``
@@ -36,9 +32,7 @@ lowest-value-first shedding, and the accepted-job latency SLO (see
 Examples::
 
     uniq-personalize --subject-seed 7 --output my_hrtf.npz --evaluate
-    python -m repro.cli warmup --store /var/cache/repro-maps --jobs jobs.jsonl
     python -m repro.cli batch --jobs jobs.jsonl --workers 4 \
-        --map-store /var/cache/repro-maps \
         --telemetry telemetry.jsonl --report batch_report.json
     python -m repro.cli timeline telemetry.jsonl
     python -m repro.cli fleet run --subjects 1000 --seed 7 \
@@ -262,15 +256,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "with `python -m repro.cli timeline PATH`",
     )
     parser.add_argument(
-        "--map-store",
-        metavar="DIR",
-        default=None,
-        help="DelayMap artifact store directory: workers mmap pre-baked "
-        "delay tables from DIR (and persist what they build) instead of "
-        "recomputing them from cold — pre-bake with `python -m repro.cli "
-        "warmup`; defaults to $REPRO_MAP_STORE when set",
-    )
-    parser.add_argument(
         "--slo",
         metavar="PATH",
         default=None,
@@ -351,7 +336,6 @@ def main_batch(argv: list[str] | None = None) -> int:
             heartbeat_deadline_s=args.heartbeat_deadline,
             telemetry=args.telemetry,
             slo=slo_policy,
-            map_store=args.map_store,
         )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -373,8 +357,6 @@ def main_batch(argv: list[str] | None = None) -> int:
         print(f"server           : {server._pool.workers} workers, "
               f"queue bound {queue_size}, "
               f"coalescing {'on' if server.coalesce else 'off'}")
-        if server.map_store is not None:
-            print(f"map store        : {server.map_store}")
         try:
             report = server.run_batch(jobs)
         finally:
@@ -624,165 +606,6 @@ def main_timeline(argv: list[str] | None = None) -> int:
     return 0
 
 
-def build_warmup_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli warmup",
-        description=(
-            "Pre-bake DelayMap artifacts into a map store so cold serve "
-            "workers mmap tables instead of rebuilding them.  Two modes: "
-            "--jobs replays job specs once with the store active and "
-            "persists every table those exact runs touch (highest value: "
-            "optimizer trajectories are capture-specific); without --jobs, "
-            "a geometry lattice over the anthropometric search bounds is "
-            "baked at the fusion grids."
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="map store directory (defaults to $REPRO_MAP_STORE)",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="PATH",
-        default=None,
-        help="JSONL job file: run each distinct spec once, persisting every "
-        "delay table it touches (exact-key warmup)",
-    )
-    parser.add_argument(
-        "--step-mm",
-        type=float,
-        default=5.0,
-        help="lattice spacing over each head axis in millimeters "
-        "(default: 5.0)",
-    )
-    parser.add_argument(
-        "--grids",
-        choices=("coarse", "final", "both"),
-        default="coarse",
-        help="which fusion grids to bake per lattice point: the coarse "
-        "optimizer grid, the full-resolution final grid, or both "
-        "(default: coarse)",
-    )
-    parser.add_argument(
-        "--max-maps",
-        type=int,
-        default=5000,
-        metavar="N",
-        help="refuse lattices baking more than N maps (default: 5000); "
-        "raise --step-mm instead of the cap when you hit it",
-    )
-    return parser
-
-
-def main_warmup(argv: list[str] | None = None) -> int:
-    """Pre-bake DelayMap artifacts into a map store.
-
-    Exit codes: 0 baked, 1 a --jobs spec failed, 2 the store or job file
-    could not be used (or the lattice exceeds --max-maps).
-    """
-    import os
-
-    from repro.core import mapstore
-    from repro.core.fusion import _BOUNDS, DiffractionAwareSensorFusion
-    from repro.core.localize import cached_delay_map
-
-    args = build_warmup_parser().parse_args(argv)
-    raw = args.store or os.environ.get(mapstore.MAP_STORE_ENV, "")
-    if not raw.strip():
-        print("error: no store: pass --store or set REPRO_MAP_STORE",
-              file=sys.stderr)
-        return 2
-    path = mapstore.validate_store_path(raw)
-    if path is None:
-        print(f"error: unusable store path {raw!r}", file=sys.stderr)
-        return 2
-    store = mapstore.MapStore(path)
-    before_n, before_bytes = len(store), store.size_bytes()
-    # Builds (here and in --jobs runs) persist through cached_delay_map's
-    # store hook, which reads the environment.
-    os.environ[mapstore.MAP_STORE_ENV] = path
-    started = time.perf_counter()
-
-    if args.jobs is not None:
-        from repro.serve import load_jobs
-        from repro.serve.worker import execute_job
-
-        try:
-            jobs = load_jobs(args.jobs)
-        except (OSError, ReproError) as error:
-            print(f"error: cannot load jobs: {error}", file=sys.stderr)
-            return 2
-        distinct = {job.spec_key(): job for job in jobs}
-        print(f"exact warmup     : {len(distinct)} distinct specs "
-              f"from {args.jobs} -> {path}")
-        failed = 0
-        for i, job in enumerate(distinct.values()):
-            job_started = time.perf_counter()
-            try:
-                execute_job(job.to_dict())
-            except ReproError as error:
-                failed += 1
-                print(f"  {job.job_id}: failed ({error})", file=sys.stderr)
-                continue
-            print(f"  [{i + 1}/{len(distinct)}] {job.job_id}: "
-                  f"{time.perf_counter() - job_started:.2f} s")
-        status = 1 if failed else 0
-    else:
-        fusion = DiffractionAwareSensorFusion()
-        grids = []
-        if args.grids in ("coarse", "both"):
-            grids.append((
-                fusion.fusion_boundary_samples,
-                fusion.map_radii, fusion.map_thetas, False,
-            ))
-        if args.grids in ("final", "both"):
-            from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES
-
-            grids.append((
-                DEFAULT_BOUNDARY_SAMPLES,
-                fusion.final_map_radii, fusion.final_map_thetas, True,
-            ))
-        step = args.step_mm / 1000.0
-        if step <= 0:
-            print("error: --step-mm must be positive", file=sys.stderr)
-            return 2
-        axes = [
-            np.arange(lo, hi + 1e-12, step) for lo, hi in _BOUNDS.values()
-        ]
-        n_points = int(np.prod([len(axis) for axis in axes]))
-        n_maps = n_points * len(grids)
-        print(f"lattice warmup   : {'x'.join(str(len(a)) for a in axes)} "
-              f"head lattice ({args.step_mm:g} mm step), "
-              f"{len(grids)} grid(s) -> {n_maps} maps -> {path}")
-        if n_maps > args.max_maps:
-            print(f"error: {n_maps} maps exceeds --max-maps {args.max_maps}; "
-                  f"widen --step-mm", file=sys.stderr)
-            return 2
-        baked = 0
-        for a in axes[0]:
-            for b in axes[1]:
-                for c in axes[2]:
-                    for boundary, radii, thetas, refine in grids:
-                        cached_delay_map(
-                            (float(a), float(b), float(c)), boundary,
-                            radii, thetas, refine=refine,
-                        )
-                        baked += 1
-            print(f"  a={a * 100:.1f} cm plane done "
-                  f"({baked}/{n_maps} maps, "
-                  f"{time.perf_counter() - started:.1f} s)")
-        status = 0
-
-    print(f"store            : {len(store)} artifacts "
-          f"({store.size_bytes() / 1e6:.1f} MB), "
-          f"+{len(store) - before_n} new "
-          f"(+{(store.size_bytes() - before_bytes) / 1e6:.1f} MB) "
-          f"in {time.perf_counter() - started:.1f} s")
-    return status
-
-
 def build_fleet_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli fleet",
@@ -836,13 +659,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
             metavar="MM",
             help="head-half-width bias in millimeters applied to the "
             "biased fraction (default: 0)",
-        )
-        p.add_argument(
-            "--map-store",
-            metavar="DIR",
-            default=None,
-            help="DelayMap artifact store for the serve workers (pre-bake "
-            "with `python -m repro.cli warmup`)",
         )
 
     run = sub.add_parser(
@@ -915,7 +731,6 @@ def _fleet_run(args) -> tuple["object", dict]:
         queue_size=args.queue_size,
         bias_fraction=args.bias_fraction,
         head_bias_m=args.head_bias_mm / 1000.0,
-        map_store=args.map_store,
     )
     statuses = ", ".join(
         f"{status} {count}" for status, count in sorted(ops["statuses"].items())
@@ -1454,8 +1269,6 @@ def main(argv: list[str] | None = None) -> int:
         return main_batch(argv[1:])
     if argv and argv[0] == "timeline":
         return main_timeline(argv[1:])
-    if argv and argv[0] == "warmup":
-        return main_warmup(argv[1:])
     if argv and argv[0] == "fleet":
         return main_fleet(argv[1:])
     if argv and argv[0] == "serve-sim":

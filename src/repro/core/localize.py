@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import SPEED_OF_SOUND
-from repro.core import mapstore
 from repro.errors import GeometryError
 from repro.geometry.batch import binaural_delays_batch
 from repro.geometry.head import DEFAULT_BOUNDARY_SAMPLES, Ear, HeadGeometry
@@ -45,10 +44,6 @@ DEFAULT_RADII = (0.16, 1.4, 40)
 #: Default angular grid (deg): full circle so both ambiguous intersections
 #: are always found, at ~3 degree resolution before sub-grid refinement.
 DEFAULT_THETAS = (-180.0, 180.0, 121)
-
-#: Per-instance invert() memo size bound; the cache is cleared (not LRU
-#: evicted) past this, which is far above any per-session probe count.
-_INVERT_CACHE_MAX = 4096
 
 _log = get_logger("core.localize")
 
@@ -93,7 +88,6 @@ class DelayMap:
         speed_of_sound: float = SPEED_OF_SOUND,
         model: str = "diffraction",
         refine: bool = True,
-        tables: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         r_min, r_max, n_r = radii
         t_min, t_max, n_t = thetas
@@ -129,33 +123,12 @@ class DelayMap:
         self.radii = np.linspace(r_min, r_max, n_r)
         self.thetas_deg = np.linspace(t_min, t_max, n_t)
 
-        if tables is not None:
-            # Precomputed tables (the mapstore's mmap-loaded artifacts):
-            # skip the batch diffraction solve entirely.  The arrays must
-            # match the grid this spec would have produced — shape is the
-            # only checkable invariant, content is the store's contract.
-            t_left, t_right = tables
-            if t_left.shape != (n_r, n_t) or t_right.shape != (n_r, n_t):
-                raise GeometryError(
-                    f"precomputed tables {t_left.shape}/{t_right.shape} do not "
-                    f"match the {(n_r, n_t)} grid"
-                )
-            self.t_left = t_left  # (r, theta)
-            self.t_right = t_right
-            obs_metrics.counter("localize.delay_map_loads").inc()
-        else:
-            grid_r, grid_t = np.meshgrid(self.radii, self.thetas_deg, indexing="ij")
-            sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
-            t_left, t_right = self._delays_for(sources)
-            self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
-            self.t_right = t_right.reshape(n_r, n_t)
-            obs_metrics.counter("localize.delay_map_builds").inc()
-        #: Memoized invert() results keyed by the exact (t1, t2) pair — the
-        #: tables are immutable after construction, so a repeated delay pair
-        #: (cached maps re-served across optimizer runs) is a pure replay.
-        self._invert_cache: dict[
-            tuple[float, float], tuple[LocalizationCandidate, ...]
-        ] = {}
+        grid_r, grid_t = np.meshgrid(self.radii, self.thetas_deg, indexing="ij")
+        sources = polar_to_cartesian(grid_r.ravel(), grid_t.ravel())
+        t_left, t_right = self._delays_for(sources)
+        self.t_left = t_left.reshape(n_r, n_t)  # (r, theta)
+        self.t_right = t_right.reshape(n_r, n_t)
+        obs_metrics.counter("localize.delay_map_builds").inc()
 
     def _delays_for(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact (un-tabulated) per-source binaural delays under the model."""
@@ -221,11 +194,6 @@ class DelayMap:
         """
         if not np.isfinite(t_left) or not np.isfinite(t_right):
             return []
-        key = (float(t_left), float(t_right))
-        cached = self._invert_cache.get(key)
-        if cached is not None:
-            obs_metrics.counter("localize.invert_cache_hits").inc()
-            return list(cached)
         radius = self._radius_for_left_delay(t_left)
         g = self._right_delay_at(radius) - t_right
         candidates: list[LocalizationCandidate] = []
@@ -243,11 +211,7 @@ class DelayMap:
                 r_here = float(radius[i] + frac * (radius[i + 1] - radius[i]))
                 if np.isfinite(r_here):
                     candidates.append(LocalizationCandidate(r_here, theta))
-        out = self._refine_grazing(t_left, t_right, g, radius, finite, candidates)
-        if len(self._invert_cache) >= _INVERT_CACHE_MAX:
-            self._invert_cache.clear()
-        self._invert_cache[key] = tuple(out)
-        return out
+        return self._refine_grazing(t_left, t_right, g, radius, finite, candidates)
 
     def _refine_grazing(
         self,
@@ -586,93 +550,55 @@ class DelayMap:
         """Per-probe :meth:`invert` results for whole delay arrays at once.
 
         One vectorized radius solve / interpolation / crossing scan covers
-        every uncached probe; the per-probe memo cache is consulted and
-        populated exactly as the scalar path would, so mixing batch and
-        scalar calls on one map stays consistent.
+        every probe with finite delays; the rest resolve to no candidates.
         """
         t1 = np.asarray(t_left, dtype=float)
         t2 = np.asarray(t_right, dtype=float)
-        m = t1.shape[0]
-        out: list[list[LocalizationCandidate] | None] = [None] * m
-        todo: list[int] = []  # probe index of each computed row
-        pending: dict[tuple[float, float], int] = {}  # key -> row
-        row_of: dict[int, int] = {}  # probe index -> row
-        for k in range(m):
-            if not (np.isfinite(t1[k]) and np.isfinite(t2[k])):
-                out[k] = []
-                continue
-            key = (float(t1[k]), float(t2[k]))
-            cached = self._invert_cache.get(key)
-            if cached is not None:
-                obs_metrics.counter("localize.invert_cache_hits").inc()
-                out[k] = list(cached)
-                continue
-            row = pending.get(key)
-            if row is None:
-                row = len(todo)
-                todo.append(k)
-                pending[key] = row
-            else:
-                # In-batch duplicate: computed once, served as a cache hit —
-                # matching the scalar loop's counter arithmetic.
-                obs_metrics.counter("localize.invert_cache_hits").inc()
-            row_of[k] = row
-        if todo:
-            sub1 = t1[todo]
-            sub2 = t2[todo]
-            radius = self._radius_for_left_delay_batch(sub1)
-            g = self._right_delay_at_batch(radius) - sub2[:, None]
-            finite = np.isfinite(g)
-            gl, gr = g[:, :-1], g[:, 1:]
-            cross = finite[:, :-1] & finite[:, 1:] & (
-                (gl == 0.0) | ((gl < 0) != (gr < 0))
+        out: list[list[LocalizationCandidate]] = [[] for _ in range(t1.shape[0])]
+        todo = np.flatnonzero(np.isfinite(t1) & np.isfinite(t2))
+        if not todo.size:
+            return out
+        sub1 = t1[todo]
+        sub2 = t2[todo]
+        radius = self._radius_for_left_delay_batch(sub1)
+        g = self._right_delay_at_batch(radius) - sub2[:, None]
+        finite = np.isfinite(g)
+        gl, gr = g[:, :-1], g[:, 1:]
+        cross = finite[:, :-1] & finite[:, 1:] & (
+            (gl == 0.0) | ((gl < 0) != (gr < 0))
+        )
+        coarse: list[list[LocalizationCandidate]] = [[] for _ in todo]
+        rows, nodes = np.nonzero(cross)  # row-major: scalar scan order
+        if rows.size:
+            gl_s = g[rows, nodes]
+            span = g[rows, nodes + 1] - gl_s
+            with np.errstate(invalid="ignore", divide="ignore"):
+                frac = np.where(span == 0.0, 0.0, -gl_s / span)
+            theta = self.thetas_deg[nodes] + frac * (
+                self.thetas_deg[nodes + 1] - self.thetas_deg[nodes]
             )
-            coarse: list[list[LocalizationCandidate]] = [[] for _ in todo]
-            rows, nodes = np.nonzero(cross)  # row-major: scalar scan order
-            if rows.size:
-                gl_s = g[rows, nodes]
-                span = g[rows, nodes + 1] - gl_s
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    frac = np.where(span == 0.0, 0.0, -gl_s / span)
-                theta = self.thetas_deg[nodes] + frac * (
-                    self.thetas_deg[nodes + 1] - self.thetas_deg[nodes]
-                )
-                r_here = radius[rows, nodes] + frac * (
-                    radius[rows, nodes + 1] - radius[rows, nodes]
-                )
-                for n in range(rows.size):
-                    if np.isfinite(r_here[n]):
-                        coarse[rows[n]].append(
-                            LocalizationCandidate(float(r_here[n]), float(theta[n]))
-                        )
-            if self.refine:
-                resolved = [
-                    self._refine_grazing(
-                        float(sub1[row]), float(sub2[row]),
-                        g[row], radius[row], finite[row], coarse[row],
+            r_here = radius[rows, nodes] + frac * (
+                radius[rows, nodes + 1] - radius[rows, nodes]
+            )
+            for n in range(rows.size):
+                if np.isfinite(r_here[n]):
+                    coarse[rows[n]].append(
+                        LocalizationCandidate(float(r_here[n]), float(theta[n]))
                     )
-                    for row in range(len(todo))
+        if self.refine:
+            for row, k in enumerate(todo):
+                out[k] = self._refine_grazing(
+                    float(sub1[row]), float(sub2[row]),
+                    g[row], radius[row], finite[row], coarse[row],
+                )
+        else:
+            ordered = [sorted(cands, key=lambda c: c.theta_deg) for cands in coarse]
+            grazes = self._tangential_vertices_batch(g, radius, finite, ordered)
+            for row, k in enumerate(todo):
+                out[k] = ordered[row] + [
+                    LocalizationCandidate(r_v, theta_v) for theta_v, r_v in grazes[row]
                 ]
-            else:
-                ordered = [
-                    sorted(cands, key=lambda c: c.theta_deg) for cands in coarse
-                ]
-                grazes = self._tangential_vertices_batch(g, radius, finite, ordered)
-                resolved = [
-                    ordered[row]
-                    + [
-                        LocalizationCandidate(r_v, theta_v)
-                        for theta_v, r_v in grazes[row]
-                    ]
-                    for row in range(len(todo))
-                ]
-            for key, row in pending.items():
-                if len(self._invert_cache) >= _INVERT_CACHE_MAX:
-                    self._invert_cache.clear()
-                self._invert_cache[key] = tuple(resolved[row])
-            for k, row in row_of.items():
-                out[k] = list(resolved[row])
-        return out  # type: ignore[return-value]
+        return out
 
     def locate_batch(
         self,
@@ -721,9 +647,8 @@ MAP_KEY_DECIMALS = 9
 def quantize_key_component(value: float) -> float:
     """Deterministic quantization for continuous delay-map key components.
 
-    The single definition shared by the in-memory LRU key and the on-disk
-    :mod:`repro.core.mapstore` artifact key — two values within the
-    quantization tolerance always address the same entry in both.
+    Two values within the quantization tolerance always address the same
+    :func:`cached_delay_map` entry.
     """
     return round(float(value), MAP_KEY_DECIMALS)
 
@@ -766,17 +691,12 @@ def cached_delay_map(
     evaluation cohort all rebuild maps for head parameter vectors they have
     already seen; a hit skips both the :class:`HeadGeometry` boundary build
     and the full batch diffraction solve.  Maps are immutable after
-    construction (``invert`` results are memoized per instance), so sharing
-    one instance across callers cannot change any numeric output.
+    construction, so sharing one instance across callers cannot change any
+    numeric output.
 
     Hits/misses are counted under ``localize.delay_map_cache_hits`` /
     ``_misses``; :func:`clear_delay_map_cache` empties the store (tests,
     memory-pressure escape hatch).
-
-    When a :mod:`repro.core.mapstore` artifact store is active
-    (``REPRO_MAP_STORE``), an in-memory miss first tries the on-disk
-    tables for this key (mmap-loaded, no solve); a store miss builds the
-    map and persists its tables so the next cold process starts warm.
     """
     key = _map_cache_key(
         parameters, n_boundary, radii, thetas, speed_of_sound, model, refine
@@ -793,27 +713,7 @@ def cached_delay_map(
     obs_metrics.counter("localize.delay_map_cache_misses").inc()
     a, b, c = (float(v) for v in parameters)
     head = HeadGeometry(a=a, b=b, c=c, n_boundary=int(n_boundary))
-    store = mapstore.active_store()
-    built = None
-    if store is not None:
-        tables = store.load(key)
-        if tables is not None:
-            try:
-                built = DelayMap(
-                    head, radii, thetas, speed_of_sound,
-                    model=model, refine=refine, tables=tables,
-                )
-            except GeometryError:
-                # Validated-on-load artifacts should never get here; treat
-                # any mismatch as corruption and fall through to a rebuild.
-                store.discard(key)
-                built = None
-    if built is None:
-        built = DelayMap(
-            head, radii, thetas, speed_of_sound, model=model, refine=refine
-        )
-        if store is not None:
-            store.save(key, built.t_left, built.t_right)
+    built = DelayMap(head, radii, thetas, speed_of_sound, model=model, refine=refine)
     with _MAP_CACHE_LOCK:
         existing = _MAP_CACHE.get(key)
         if existing is not None:

@@ -504,7 +504,6 @@ def run_fleet(
     bias_fraction: float = 0.0,
     head_bias_m: float = 0.0,
     queue_size: int = 256,
-    map_store: str | os.PathLike | None = None,
 ) -> tuple[FleetReport, dict[str, Any]]:
     """Run the population through :class:`~repro.serve.server.BatchServer`.
 
@@ -537,7 +536,6 @@ def run_fleet(
             workers=workers,
             queue_size=queue_size,
             runner=fleet_runner,
-            map_store=map_store,
         ) as server:
             batch = server.run_batch(jobs)
         wall = time.perf_counter() - started

@@ -104,22 +104,10 @@ def _noop() -> None:
     """Warmup task: forces worker processes to exist (fork now, not later)."""
 
 
-def _init_worker(map_store: str | None) -> None:
-    """Executor initializer: activate the DelayMap artifact store per worker.
-
-    Setting ``REPRO_MAP_STORE`` in the child covers spawn contexts (no env
-    inheritance) and parents that configured a store programmatically
-    without exporting it themselves.
-    """
-    if map_store:
-        from repro.core.mapstore import MAP_STORE_ENV
-
-        os.environ[MAP_STORE_ENV] = map_store
-
-
 def _default_context():
-    # fork (when available) lets children inherit this process's warm
-    # DelayMap cache instead of rebuilding maps from scratch.
+    # fork (when available) starts workers with the package already
+    # imported.  The DelayMap cache they inherit rarely helps: every fresh
+    # subject's optimizer builds maps no earlier job has seen.
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -160,12 +148,6 @@ class WorkerPool:
         ``watchdog_kill``), each carrying the ``event_key`` the dispatcher
         supplied.  Exceptions from the sink are swallowed — telemetry must
         never take the pool down.
-    map_store:
-        DelayMap artifact store directory (:mod:`repro.core.mapstore`),
-        activated as ``REPRO_MAP_STORE`` in every worker process (and in
-        this process under inline mode) so cold workers load pre-baked
-        delay tables instead of rebuilding them.  ``None`` leaves the
-        inherited environment in charge.
     """
 
     def __init__(
@@ -179,17 +161,9 @@ class WorkerPool:
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
         on_event: Callable[[dict[str, Any]], None] | None = None,
-        map_store: str | os.PathLike | None = None,
     ) -> None:
         self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
         self.inline = (self.workers <= 1) if inline is None else bool(inline)
-        self.map_store = os.fspath(map_store) if map_store else None
-        if self.map_store and self.inline:
-            # Inline mode runs tasks in this process; the store is activated
-            # the same way the workers would see it.
-            from repro.core.mapstore import MAP_STORE_ENV
-
-            os.environ[MAP_STORE_ENV] = self.map_store
         if retry_policy is None:
             retry_policy = RetryPolicy(
                 max_transient_retries=int(max_crash_retries),
@@ -232,8 +206,6 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._context,
-                initializer=_init_worker,
-                initargs=(self.map_store,),
             )
             # Fork the workers immediately, from a known-quiet moment,
             # rather than lazily at first dispatch.

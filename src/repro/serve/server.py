@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.mapstore import validate_store_path
 from repro.errors import ReproError
 from repro.ioutil import atomic_write_json
 from repro.obs import metrics as obs_metrics
@@ -311,13 +310,6 @@ class BatchServer:
         or a flat ``max_*``/``min_*`` thresholds mapping) evaluated over
         the batch; usable without a telemetry path (statistics are then
         tracked in memory only).
-    map_store:
-        DelayMap artifact store directory (:mod:`repro.core.mapstore`),
-        exported as ``REPRO_MAP_STORE`` to every worker so cold workers
-        mmap pre-baked delay tables instead of rebuilding them — the
-        cold-start killer.  ``None`` (default) inherits whatever
-        ``REPRO_MAP_STORE`` the environment already carries; an unusable
-        path warns and serves storeless.
     on_result:
         Observer called with every resolved :class:`JobResult` (executed,
         coalesced, replayed, rejected, or interrupted), from scheduler or
@@ -343,7 +335,6 @@ class BatchServer:
         mp_context=None,
         telemetry: ServeTelemetry | str | os.PathLike | None = None,
         slo: SloPolicy | Mapping[str, float] | None = None,
-        map_store: str | os.PathLike | None = None,
         on_result: Callable[[JobResult], None] | None = None,
     ) -> None:
         if queue_size < 1:
@@ -399,11 +390,6 @@ class BatchServer:
                     corrupt=len(state.corrupt),
                 )
             )
-        if map_store is not None:
-            # Same lenient contract as REPRO_MAP_STORE: an unusable path
-            # warns and runs storeless rather than refusing to serve.
-            map_store = validate_store_path(os.fspath(map_store))
-        self.map_store = map_store
         self._pool = WorkerPool(
             workers if workers is not None else os.cpu_count(),
             inline=False,
@@ -416,7 +402,6 @@ class BatchServer:
                 self._telemetry.pool_event
                 if self._telemetry is not None else None
             ),
-            map_store=map_store,
         )
         self.queue_size = int(queue_size)
         self._queue: queue.PriorityQueue = queue.PriorityQueue(maxsize=queue_size)

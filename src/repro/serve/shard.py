@@ -173,7 +173,6 @@ class ShardedServer:
         mp_context=None,
         telemetry: ServeTelemetry | str | os.PathLike | None = None,
         slo: SloPolicy | Mapping[str, float] | None = None,
-        map_store: str | os.PathLike | None = None,
         on_result: Callable[[JobResult], None] | None = None,
         breaker_threshold: int | None = 3,
         probe_backoff_s: float = 0.5,
@@ -258,7 +257,6 @@ class ShardedServer:
                 heartbeat_interval_s=heartbeat_interval_s,
                 mp_context=mp_context,
                 telemetry=self._telemetry,
-                map_store=map_store,
                 on_result=lambda result, shard=k: self._shard_result(
                     shard, result
                 ),

@@ -123,10 +123,7 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
     maybe_crash(spec)
     hits = obs_metrics.counter("localize.delay_map_cache_hits")
     misses = obs_metrics.counter("localize.delay_map_cache_misses")
-    store_hits = obs_metrics.counter("mapstore.hits")
-    store_misses = obs_metrics.counter("mapstore.misses")
     hits_before, misses_before = hits.value, misses.value
-    store_hits_before, store_misses_before = store_hits.value, store_misses.value
     started = time.perf_counter()
 
     process_fault = False
@@ -181,8 +178,6 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
             "compute_s": time.perf_counter() - started,
             "delay_map_cache_hits": hits.value - hits_before,
             "delay_map_cache_misses": misses.value - misses_before,
-            "map_store_hits": store_hits.value - store_hits_before,
-            "map_store_misses": store_misses.value - store_misses_before,
         },
     }
 

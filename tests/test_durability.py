@@ -736,6 +736,29 @@ class TestRealRunnerResume:
         for got, want in zip(resumed.results, reference.results):
             assert got.payload["table_digest"] == want.payload["table_digest"]
 
+        # A journal written by an older build, whose payloads still carry
+        # the since-removed map_store_hits/_misses stats, replays in full.
+        legacy_path = tmp_path / "legacy.journal"
+        with Journal(legacy_path, fsync=False) as journal:
+            for key, ids in state.submitted.items():
+                for job_id in ids:
+                    journal.append("submitted", spec_key=key, job_id=job_id)
+            for record in state.done.values():
+                done = {
+                    k: v for k, v in record.items() if k not in ("seq", "event")
+                }
+                payload = dict(done["payload"])
+                payload["_stats"] = {
+                    **payload["_stats"], "map_store_hits": 0, "map_store_misses": 0,
+                }
+                journal.append("done", **{**done, "payload": payload})
+        with BatchServer(
+            workers=2, runner=execute_job, journal=legacy_path, resume=True
+        ) as server:
+            legacy = server.run_batch(jobs)
+        assert all(r.replayed and r.attempts == 0 for r in legacy.results)
+        assert _det(legacy) == _det(reference)
+
 
 # ---------------------------------------------------------------------------
 # CLI exit codes
