@@ -24,12 +24,6 @@ one injected worker crash, and — the cold-start phase — that a fresh
 interpreter personalizes a fresh subject within 1.5x (+0.25 s) of the same
 work in this warm process, with bit-identical tables on both sides.
 
-The PR 8 fleet phase pushes a synthetic evaluation population through the
-same serve layer and records subjects/second — the number that sizes the
-CI fleet tier — plus a bit-identity check of the multi-worker
-:class:`~repro.eval.fleet.FleetReport` against a serial run (record it
-with ``--pr8-output BENCH_PR8.json``).
-
 The PR 10 adverse phase checks the deconvolution ladder's two serve-side
 contracts: ``auto`` costs under 2% over pinned ``inverse`` on a clean
 capture (the ladder is free when it does nothing), and a batch of noisy/
@@ -37,8 +31,7 @@ reverberant jobs completes with zero failures, each payload carrying the
 method/rung it settled on (record it with ``--pr10-output
 BENCH_PR10.json``).
 
-    PYTHONPATH=src python benchmarks/bench_serve.py --output BENCH_PR3.json \
-        --pr8-output BENCH_PR8.json
+    PYTHONPATH=src python benchmarks/bench_serve.py --output BENCH_PR3.json
     PYTHONPATH=src python benchmarks/bench_serve.py --quick   # CI smoke
 """
 
@@ -263,39 +256,6 @@ def run_cold_start_phase(
     }
 
 
-def run_fleet_phase(subjects: int, seed: int, workers: int) -> dict:
-    """Fleet-evaluation throughput through the serve layer (BENCH_PR8).
-
-    The fleet tier's unit of work is tiny (a synthetic metric model, not a
-    personalization), so this measures the serve layer's fixed per-job
-    costs — queueing, dispatch, result marshalling — at population scale.
-    The multi-worker report must be bit-identical to the serial one; the
-    recorded ``subjects_per_s`` is what sizes the CI quick tier.
-    """
-    from repro.eval.fleet import run_fleet
-
-    report_multi, ops_multi = run_fleet(subjects, seed, workers=workers)
-    report_serial, ops_serial = run_fleet(subjects, seed, workers=1)
-    multi = json.dumps(report_multi.to_dict(), sort_keys=True)
-    serial = json.dumps(report_serial.to_dict(), sort_keys=True)
-    if multi != serial:
-        raise RuntimeError(
-            f"{workers}-worker fleet report differs from the serial run"
-        )
-    return {
-        "subjects": subjects,
-        "seed": seed,
-        "workers": workers,
-        "wall_s": ops_multi["wall_s"],
-        "subjects_per_s": ops_multi["subjects_per_s"],
-        "serial_wall_s": ops_serial["wall_s"],
-        "serial_subjects_per_s": ops_serial["subjects_per_s"],
-        "statuses": dict(ops_multi["statuses"]),
-        "serve_latency": ops_multi["serve_latency"],
-        "deterministic_vs_serial": True,
-    }
-
-
 def measure_rung0_overhead(pairs: int = 100) -> dict:
     """CPU-time overhead of the ``auto`` ladder over pinned ``inverse``.
 
@@ -427,18 +387,12 @@ def main(argv: list[str] | None = None) -> int:
                         "and the cold-start gate (at least 2)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: 8 jobs, 2 specs, 2 baseline samples")
-    parser.add_argument("--pr8-output", default=None, metavar="PATH",
-                        help="write the fleet-throughput phase record "
-                        "(BENCH_PR8.json) here")
     parser.add_argument("--pr10-output", default=None, metavar="PATH",
                         help="write the adverse-capture phase record "
                         "(BENCH_PR10.json) here")
-    parser.add_argument("--fleet-subjects", type=int, default=2000,
-                        help="population size for the fleet phase")
     args = parser.parse_args(argv)
     if args.quick:
         args.jobs, args.specs, args.samples = 8, 2, 2
-        args.fleet_subjects = min(args.fleet_subjects, 500)
 
     jobs = make_jobs(args.jobs, args.specs)
     print(f"workload       : {len(jobs)} jobs over {args.specs} distinct specs")
@@ -489,12 +443,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{adverse['adverse_batch']['escalated_jobs']}/"
           f"{adverse['adverse_batch']['n_jobs']} jobs escalated")
 
-    print(f"fleet phase    : {args.fleet_subjects} synthetic subjects ...")
-    fleet = run_fleet_phase(args.fleet_subjects, seed=7, workers=args.workers)
-    print(f"                 {fleet['wall_s']:.1f} s "
-          f"({fleet['subjects_per_s']:.0f} subjects/s at {fleet['workers']} "
-          f"workers, {fleet['serial_subjects_per_s']:.0f} serial)")
-
     speedup_pp = per_process["extrapolated_wall_s"] / batch["wall_s"]
     speedup_serial = serial["wall_s"] / batch["wall_s"]
     print(f"speedup        : {speedup_pp:.2f}x vs per-process, "
@@ -517,7 +465,6 @@ def main(argv: list[str] | None = None) -> int:
         "crash_recovery": crash,
         "cold_start": cold,
         "adverse": adverse,
-        "fleet": fleet,
         "speedup_vs_per_process": speedup_pp,
         "speedup_vs_serial_service": speedup_serial,
         "metrics": obs.registry().snapshot(),
@@ -529,21 +476,6 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"record         : {args.output}")
-    if args.pr8_output:
-        from repro.ioutil import atomic_write
-
-        pr8_record = {
-            "benchmark": "fleet_throughput",
-            "repro_version": __version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "quick": args.quick,
-            **fleet,
-        }
-        with atomic_write(args.pr8_output, "w") as handle:
-            json.dump(pr8_record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"record         : {args.pr8_output}")
     if args.pr10_output:
         from repro.ioutil import atomic_write
 

@@ -45,7 +45,6 @@ from repro.core.elevation import (
     SphericalPersonalizer,
     capture_rings,
 )
-from repro.core.online import OnlineFusion, OnlineStatus
 from repro.core.pipeline import (
     PersonalizationResult,
     Uniq,
@@ -86,8 +85,6 @@ __all__ = [
     "Personalization3DResult",
     "SphericalPersonalizer",
     "capture_rings",
-    "OnlineFusion",
-    "OnlineStatus",
     "AcousticTriangulator",
     "PoseEstimate",
     "Speaker",

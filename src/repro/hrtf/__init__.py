@@ -16,7 +16,6 @@ from repro.hrtf.full_circle import FullCircleHRTF, signed_aoa
 from repro.hrtf.metrics import hrir_correlation, table_correlations
 from repro.hrtf.perceptual import perceptual_distance, table_perceptual_distance
 from repro.hrtf.io import save_table, load_table, table_digest
-from repro.hrtf.sofa import export_sofa_like, import_sofa_like
 from repro.hrtf.reference import ground_truth_table, global_template_table
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "save_table",
     "load_table",
     "table_digest",
-    "export_sofa_like",
-    "import_sofa_like",
     "ground_truth_table",
     "global_template_table",
 ]

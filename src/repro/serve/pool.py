@@ -126,14 +126,11 @@ class WorkerPool:
         (defaults to ``workers <= 1``).  Pass ``False`` to force a real
         subprocess even for one worker — what the batch server does so a
         single-worker service still survives job crashes.
-    max_crash_retries:
-        Legacy knob: when ``retry_policy`` is not given, builds a policy
-        granting this many immediate (no-backoff) retries on worker death
-        — the pre-RetryPolicy behavior, still what the evaluation cohort
-        wants.
     retry_policy:
-        Full retry semantics (classification, backoff, budget); overrides
-        ``max_crash_retries``.
+        Full retry semantics (classification, backoff, budget).  ``None``
+        builds a fresh policy per pool granting one immediate (no-backoff)
+        retry on worker death; it is never shared, because a policy keeps
+        per-batch retry-budget state.
     heartbeat_deadline_s:
         Enable the watchdog: a task whose worker has not heartbeaten for
         this long is presumed hung; the worker is SIGKILLed and the task
@@ -156,7 +153,6 @@ class WorkerPool:
         *,
         inline: bool | None = None,
         mp_context=None,
-        max_crash_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         heartbeat_deadline_s: float | None = None,
         heartbeat_interval_s: float = 0.2,
@@ -166,7 +162,7 @@ class WorkerPool:
         self.inline = (self.workers <= 1) if inline is None else bool(inline)
         if retry_policy is None:
             retry_policy = RetryPolicy(
-                max_transient_retries=int(max_crash_retries),
+                max_transient_retries=1,
                 base_backoff_s=0.0,
                 jitter_frac=0.0,
             )

@@ -280,8 +280,8 @@ class BatchServer:
         Share one execution among jobs with equal :meth:`Job.spec_key`.
     retry_policy:
         Classified-retry semantics (see :class:`repro.serve.retry
-        .RetryPolicy`); defaults to the legacy one-immediate-crash-retry
-        behavior via ``max_crash_retries``.
+        .RetryPolicy`); ``None`` gives each worker pool its own policy
+        with one immediate retry on worker death.
     journal:
         A :class:`repro.serve.journal.Journal`, or a path to open one at.
         Enables the write-ahead log of every submission and outcome.
@@ -326,7 +326,6 @@ class BatchServer:
         default_timeout_s: float | None = None,
         runner: Callable[[Mapping[str, Any]], Mapping[str, Any]] | None = None,
         coalesce: bool = True,
-        max_crash_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         journal: Journal | str | os.PathLike | None = None,
         resume: bool = False,
@@ -393,7 +392,6 @@ class BatchServer:
         self._pool = WorkerPool(
             workers if workers is not None else os.cpu_count(),
             inline=False,
-            max_crash_retries=max_crash_retries,
             retry_policy=retry_policy,
             heartbeat_deadline_s=heartbeat_deadline_s,
             heartbeat_interval_s=heartbeat_interval_s,

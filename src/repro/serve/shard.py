@@ -164,7 +164,6 @@ class ShardedServer:
         default_timeout_s: float | None = None,
         runner: Callable[[Mapping[str, Any]], Mapping[str, Any]] | None = None,
         coalesce: bool = True,
-        max_crash_retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         journal: str | os.PathLike | None = None,
         resume: bool = False,
@@ -249,7 +248,6 @@ class ShardedServer:
                 default_timeout_s=default_timeout_s,
                 runner=runner,
                 coalesce=coalesce,
-                max_crash_retries=max_crash_retries,
                 retry_policy=_namespaced_policy(retry_policy, k, self.shards),
                 journal=path,
                 resume=resume_shard,

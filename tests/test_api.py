@@ -7,10 +7,22 @@ import pytest
 import repro
 
 
+SUBPACKAGES = (
+    "core", "eval", "geometry", "hrtf", "obs", "quality", "room_acoustics",
+    "serve", "signals", "simulation", "testing",
+)
+
+
 class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name}"
+        for sub in SUBPACKAGES:
+            module = importlib.import_module(f"repro.{sub}")
+            for name in module.__all__:
+                assert hasattr(module, name), (
+                    f"repro.{sub}.__all__ lists missing {name}"
+                )
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"

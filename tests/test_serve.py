@@ -140,12 +140,15 @@ class TestWorkerPool:
         assert outcomes[0].attempts == 2
 
     def test_crash_without_retry_budget_reports_crashed(self, tmp_path):
-        # Two markers: the job crashes on the first attempt *and* on its
-        # single retry, so the pool must give up and say so.
+        # With no retry budget the first crash is final, so the pool must
+        # give up and say so.
         first = tmp_path / "boom"
         spec = {"job_id": "j", "subject_seed": 3, "crash_marker": str(first)}
 
-        with WorkerPool(1, inline=False, max_crash_retries=0) as pool:
+        no_retries = RetryPolicy(
+            max_transient_retries=0, base_backoff_s=0.0, jitter_frac=0.0
+        )
+        with WorkerPool(1, inline=False, retry_policy=no_retries) as pool:
             outcomes = pool.outcomes(digest_runner, [spec])
         assert outcomes[0].status == "crashed"
         assert outcomes[0].attempts == 1
